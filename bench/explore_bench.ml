@@ -14,7 +14,7 @@ open Spp
 open Engine
 module Json = Metrics.Json
 
-let schema = "commrouting/bench_explore/v4"
+let schema = "commrouting/bench_explore/v5"
 
 (* The state/route representation this binary was built with; recorded in
    the artifact so perf numbers are attributable across the PR 2 arena
@@ -79,6 +79,7 @@ type run = {
   states : int;
   edges : int;
   wall_s : float;
+  analyze_s : float;  (* fair-cycle analysis of the explored graph *)
   states_per_sec : float;
   dedup_rate : float;
   peak_frontier : int;
@@ -150,6 +151,7 @@ let run_one ?ckpt ?frontier ~reduction c ~domains ~spill ~repeat =
     states = Array.length graph.Modelcheck.Explore.states;
     edges = Metrics.edges metrics;
     wall_s = Metrics.phase_time metrics "explore";
+    analyze_s = Metrics.phase_time metrics "analyze";
     states_per_sec = Metrics.states_per_sec metrics;
     dedup_rate = Metrics.dedup_rate metrics;
     peak_frontier = Metrics.peak_frontier metrics;
@@ -169,6 +171,7 @@ let json_of_run r =
       ("states", Json.Num (float_of_int r.states));
       ("edges", Json.Num (float_of_int r.edges));
       ("wall_s", Json.Num r.wall_s);
+      ("analyze_s", Json.Num r.analyze_s);
       ("states_per_sec", Json.Num r.states_per_sec);
       ("dedup_rate", Json.Num r.dedup_rate);
       ("peak_frontier", Json.Num (float_of_int r.peak_frontier));
@@ -362,6 +365,7 @@ let write_file path contents = Snapshot.write_atomic path contents
 let volatile_keys =
   [
     "wall_s";
+    "analyze_s";
     "states_per_sec";
     "speedup";
     "vm_hwm_kb";
@@ -657,9 +661,10 @@ let pp_summary ppf results =
     (fun cr ->
       List.iter
         (fun r ->
-          Fmt.pf ppf "  %-9s %-4s domains=%d states=%-7d %8.0f states/s (%.2fs) %s%s%s@."
+          Fmt.pf ppf
+            "  %-9s %-4s domains=%d states=%-7d %8.0f states/s (%.2fs, analyze %.2fs) %s%s%s@."
             cr.c.instance_name (Model.to_string cr.c.m) r.domains r.states
-            r.states_per_sec r.wall_s r.verdict
+            r.states_per_sec r.wall_s r.analyze_s r.verdict
             (if r.domains > 1 && not r.pool_engaged then " [degraded to sequential]"
              else "")
             (match r.downgraded with

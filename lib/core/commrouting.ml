@@ -10,11 +10,12 @@
       transforms, the fact base and closure engine regenerating Figures
       3–4, and the transcribed paper tables.
     - {!Modelcheck}: bounded explicit-state verification of per-model
-      oscillation/convergence claims, with replayable witnesses.
+      oscillation/convergence claims, with replayable witnesses; one
+      fair-cycle analysis ({!Modelcheck.Fair}) serves every explorer.
     - {!Protocols}: instances of the protocol-generic engine core
       ({!Engine.Protocol.S}) — path-vector, gossip, push-sum — runnable
       and explorable under every model via {!Engine.Generic.Make} and
-      {!Modelcheck.Gexplore.Make}.
+      {!Modelcheck.Gexplore.Make}, which shares that analysis.
     - {!Bgp}: a Gao–Rexford BGP substrate compiled onto the SPP engine,
       with the BGP-configuration-to-model mapping of Sec. 2.3/4. *)
 

@@ -8,11 +8,14 @@ let equal_id (a : id) b = a = b
 let pp_id inst ppf c =
   Fmt.pf ppf "(%s,%s)" (Spp.Instance.name inst c.src) (Spp.Instance.name inst c.dst)
 
-module Map = Map.Make (struct
+module Ord = struct
   type t = id
 
   let compare = compare_id
-end)
+end
+
+module Map = Map.Make (Ord)
+module Set = Set.Make (Ord)
 
 type contents = Spp.Arena.id list
 type t = contents Map.t

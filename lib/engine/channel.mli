@@ -19,6 +19,7 @@ val equal_id : id -> id -> bool
 val pp_id : Spp.Instance.t -> Format.formatter -> id -> unit
 
 module Map : Map.S with type key = id
+module Set : Set.S with type elt = id
 
 type contents = Spp.Arena.id list
 (** Oldest message first.  Messages are the sender's chosen path;

@@ -19,7 +19,9 @@
 
    Everything else — the 24 [wxy] activation validators, fairness
    bookkeeping, schedulers, channel queues, state digests, exploration —
-   is shared: see {!Generic.Make} and [Modelcheck.Gexplore.Make].
+   is shared: see {!Generic.Make} and [Modelcheck.Gexplore.Make], whose
+   divergence verdict is the SPP fair-cycle analysis ([Modelcheck.Fair])
+   with [observable] as the progress predicate.
    Path-vector SPP is instance one ([Protocols.Path_vector]); gossip rumor
    spread and push-sum averaging are instances two and three. *)
 

@@ -21,10 +21,15 @@ type verdict =
 val pp_verdict : Format.formatter -> verdict -> unit
 val verdict_name : verdict -> string
 
+val tracked_channels : Spp.Instance.t -> Engine.Channel.id list
+(** The channels a fair execution must read: every channel except those
+    into the destination. *)
+
 val analyze_graph : Spp.Instance.t -> Explore.graph -> verdict
-(** The verdict of an already-explored bounded state graph; lets callers
-    reuse one exploration for several analyses (and benchmark the phases
-    separately). *)
+(** The verdict of an already-explored bounded state graph, by
+    {!Fair.find} with "the path assignment changes" as the progress
+    criterion; lets callers reuse one exploration for several analyses
+    (and benchmark the phases separately). *)
 
 val analyze :
   ?config:Explore.config ->

@@ -53,7 +53,15 @@ let respond_result ~id = function
 
 let handle st c ({ id; req } : Protocol.envelope) =
   let immediate line = { t_client = c; t_slot = ref line; t_work = None } in
-  let deferred work = { t_client = c; t_slot = ref ""; t_work = Some work } in
+  (* A raising compute thunk answers its own request with an internal
+     error instead of ending the daemon. *)
+  let deferred work =
+    let guarded () =
+      try work ()
+      with e -> Protocol.error_line ~id (Error.Internal (Printexc.to_string e))
+    in
+    { t_client = c; t_slot = ref ""; t_work = Some guarded }
+  in
   match req with
   | Protocol.Ping ->
     immediate (Protocol.ok_line ~id (Json.Obj [ ("pong", Json.Bool true) ]))
@@ -123,32 +131,20 @@ let run_batch st tasks =
       (fun t -> Option.map (fun w -> (t.t_slot, w)) t.t_work)
       tasks
   in
-  (match deferred with
-  | [] -> ()
-  | [ (slot, work) ] -> slot := work ()
-  | _ ->
-    let arr = Array.of_list deferred in
-    let n = Array.length arr in
-    let idx = Atomic.make 0 in
-    let worker _ =
-      let rec loop () =
-        let i = Atomic.fetch_and_add idx 1 in
-        if i < n then begin
-          let slot, work = arr.(i) in
-          (slot :=
-             match work () with
-             | line -> line
-             | exception e ->
-               Protocol.error_line ~id:Json.Null
-                 (Error.Internal (Printexc.to_string e)));
-          loop ()
-        end
-      in
-      loop ()
-    in
-    let workers = max 1 (min st.workers n) in
-    if workers > 1 then Engine.Pool.run (Engine.Pool.get ()) ~workers worker
-    else worker 0);
+  let arr = Array.of_list deferred in
+  let n = Array.length arr in
+  let idx = Atomic.make 0 in
+  let rec worker w =
+    let i = Atomic.fetch_and_add idx 1 in
+    if i < n then begin
+      let slot, work = arr.(i) in
+      slot := work ();
+      worker w
+    end
+  in
+  let workers = min st.workers n in
+  if workers > 1 then Engine.Pool.run (Engine.Pool.get ()) ~workers worker
+  else worker 0;
   (* Arrival order per connection: tasks were collected in read order. *)
   List.iter (fun t -> Buffer.add_string t.t_client.out !(t.t_slot)) tasks
 

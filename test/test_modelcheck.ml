@@ -164,6 +164,140 @@ let test_unreliable_witness_has_drops_covered () =
   | v -> Alcotest.failf "expected oscillation, got %a" Oscillation.pp_verdict v
 
 (* ------------------------------------------------------------------ *)
+(* Fair: the shared fair-cycle analysis against a brute-force oracle that
+   shares none of its code.  A small labelled graph is a list of edges
+   (src, dst, reads, drops, cleans) over channels 0..2 given as bitmasks;
+   edge k's entry activates node k, so a walk's entries name its edges. *)
+
+type tedge = { src : int; tdst : int; reads : int; drops : int; cleans : int }
+
+let chan k = Channel.id ~src:k ~dst:(k + 1)
+let chans mask = List.filter_map (fun k -> if mask land (1 lsl k) <> 0 then Some (chan k) else None) [ 0; 1; 2 ]
+
+let adjacency n edges =
+  let adj = Array.make n [] in
+  List.iteri
+    (fun k e ->
+      let label =
+        {
+          Enumerate.entry = Activation.single k [];
+          reads = chans e.reads;
+          drops = chans e.drops;
+          cleans = chans e.cleans;
+        }
+      in
+      adj.(e.src) <- adj.(e.src) @ [ { Explore.dst = e.tdst; label } ])
+    edges;
+  adj
+
+(* Conditions (a)-(c) of Fair.find on a non-empty edge set. *)
+let meets ~tracked ~obs ~stuck es =
+  let mask f = List.fold_left (fun m e -> m lor f e) 0 es in
+  let states = List.sort_uniq compare (List.concat_map (fun e -> [ e.src; e.tdst ]) es) in
+  es <> []
+  && mask (fun e -> e.reads) land tracked = tracked
+  && mask (fun e -> e.drops) land lnot (mask (fun e -> e.cleans)) = 0
+  && (List.exists (fun v -> obs.(v) <> obs.(List.hd states)) states || stuck)
+
+let strongly_connected es =
+  let reach v =
+    let rec go seen = function
+      | [] -> seen
+      | v :: rest ->
+        let next = List.filter_map (fun e -> if e.src = v && not (List.mem e.tdst seen) then Some e.tdst else None) es in
+        go (next @ seen) (next @ rest)
+    in
+    go [ v ] [ v ]
+  in
+  let states = List.sort_uniq compare (List.concat_map (fun e -> [ e.src; e.tdst ]) es) in
+  List.for_all (fun v -> List.for_all (fun w -> List.mem w (reach v)) states) states
+
+let brute_force ~tracked ~obs ~stuck edges =
+  let m = List.length edges in
+  List.exists
+    (fun bits ->
+      let es = List.filteri (fun k _ -> bits land (1 lsl k) <> 0) edges in
+      strongly_connected es && meets ~tracked ~obs ~stuck es)
+    (List.init (1 lsl m) Fun.id)
+
+(* A walk Fair returns: a closed walk from [start] over existing edges that
+   itself meets the conditions. *)
+let valid_walk ~tracked ~obs ~stuck edges (start, walk) =
+  let es = List.map (fun (a : Activation.t) -> List.nth edges (List.hd a.Activation.active)) walk in
+  let rec chained at = function
+    | [] -> at = start
+    | e :: rest -> e.src = at && chained e.tdst rest
+  in
+  chained start es && meets ~tracked ~obs ~stuck es
+
+let fair_find ~tracked ~obs ~stuck n edges =
+  Fair.find ~tracked:(chans tracked)
+    ~differs:(fun a b -> obs.(a) <> obs.(b))
+    ~stuck_ok:(fun _ -> stuck) (adjacency n edges)
+
+let prop_fair_matches_brute_force =
+  let open QCheck2.Gen in
+  let gen =
+    int_range 1 4 >>= fun n ->
+    let edge =
+      map
+        (fun ((src, tdst), (reads, drops, cleans)) -> { src; tdst; reads; drops; cleans })
+        (pair (pair (int_bound (n - 1)) (int_bound (n - 1)))
+           (triple (int_bound 7) (int_bound 7) (int_bound 7)))
+    in
+    quad (return n) (list_size (int_bound 7) edge)
+      (pair (int_bound 7) (array_size (return n) (int_bound 1)))
+      bool
+  in
+  QCheck2.Test.make ~name:"Fair.find agrees with brute force; its walks are fair" ~count:2000 gen
+    (fun (n, edges, (tracked, obs), stuck) ->
+      match fair_find ~tracked ~obs ~stuck n edges with
+      | None -> not (brute_force ~tracked ~obs ~stuck edges)
+      | Some w -> brute_force ~tracked ~obs ~stuck edges && valid_walk ~tracked ~obs ~stuck edges w)
+
+let arc src tdst ?(reads = 0b111) ?(drops = 0) ?(cleans = 0) () =
+  { src; tdst; reads; drops; cleans }
+
+let test_fair_self_loop_dag () =
+  (* Every state is its own SCC, a self-loop reading everything. *)
+  let edges = [ arc 0 0 (); arc 0 1 (); arc 1 1 (); arc 1 2 (); arc 2 2 () ] in
+  Alcotest.(check bool) "no fair cycle" true
+    (fair_find ~tracked:0b111 ~obs:[| 0; 1; 2 |] ~stuck:false 3 edges = None)
+
+let test_fair_refines_dropping_edge () =
+  (* {0,1,2} is one SCC, but 2->0 drops on channel 2, which nothing
+     cleans; without it, 0 <-> 1 is fair. *)
+  let edges =
+    [
+      arc 0 1 ~reads:0b001 ~cleans:0b001 ();
+      arc 1 0 ~reads:0b010 ();
+      arc 1 2 ~reads:0 ();
+      arc 2 0 ~reads:0b100 ~drops:0b100 ();
+    ]
+  in
+  let obs = [| 0; 1; 1 |] in
+  match fair_find ~tracked:0b011 ~obs ~stuck:false 3 edges with
+  | Some ((start, walk) as w) ->
+    Alcotest.(check int) "start" 0 start;
+    Alcotest.(check (list (list int))) "walk 0->1->0"
+      [ [ 0 ]; [ 1 ] ]
+      (List.map (fun (a : Activation.t) -> a.Activation.active) walk);
+    Alcotest.(check bool) "valid" true (valid_walk ~tracked:0b011 ~obs ~stuck:false edges w)
+  | None -> Alcotest.fail "expected the 0 <-> 1 sub-SCC"
+
+let test_fair_doomed_clause () =
+  (* Nothing observable changes along 0 <-> 1: divergent only when the
+     cycle may be stuck. *)
+  let edges = [ arc 0 1 (); arc 1 0 () ] and obs = [| 0; 0 |] in
+  Alcotest.(check bool) "not stuck: no cycle" true
+    (fair_find ~tracked:0b111 ~obs ~stuck:false 2 edges = None);
+  match fair_find ~tracked:0b111 ~obs ~stuck:true 2 edges with
+  | Some w ->
+    Alcotest.(check bool) "stuck: valid walk" true
+      (valid_walk ~tracked:0b111 ~obs ~stuck:true edges w)
+  | None -> Alcotest.fail "expected a doomed cycle"
+
+(* ------------------------------------------------------------------ *)
 (* Refute: machine-checked Props. 3.10-3.13 (Examples A.3-A.5) *)
 
 let poll1 inst c =
@@ -482,6 +616,14 @@ let () =
             test_refute_agrees_with_transform;
           Alcotest.test_case "constructive agrees with enumeration" `Quick
             test_constructive_agrees_with_enumeration;
+        ] );
+      ( "fair",
+        [
+          Alcotest.test_case "self-loop DAG" `Quick test_fair_self_loop_dag;
+          Alcotest.test_case "refinement drops an uncleaned edge" `Quick
+            test_fair_refines_dropping_edge;
+          Alcotest.test_case "doomed clause" `Quick test_fair_doomed_clause;
+          QCheck_alcotest.to_alcotest prop_fair_matches_brute_force;
         ] );
       ( "witnesses",
         [
